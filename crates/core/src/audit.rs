@@ -29,15 +29,15 @@
 //! only the count grows. Auditing state is O(active jobs + stations).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
 use condor_model::station::ResourceVec;
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
 
+use crate::idhash::IdMap;
 use crate::job::JobId;
-use crate::telemetry::TraceSink;
+use crate::telemetry::{Interest, TraceSink};
 use crate::trace::{TraceEvent, TraceKind};
 
 /// Phase a job occupies in the auditor's replica of the lifecycle machine.
@@ -87,6 +87,28 @@ struct JobAudit {
     /// Resource demand, set by `JobGranted` ahead of a fractional
     /// placement; whole-machine jobs never emit the grant and stay here.
     demand: ResourceVec,
+    /// Every station the job holds (k for gangs, plus live replicas).
+    held: Vec<NodeId>,
+    /// Stations holding a live speculative replica of the job (see
+    /// [`crate::redundancy`]); each must be closed by a
+    /// `ReplicaCancelled` or consumed by the job's completion.
+    replicas: Vec<NodeId>,
+}
+
+impl JobAudit {
+    fn new(phase: JobPhase) -> Self {
+        JobAudit {
+            phase,
+            ckpt_in_flight: 0,
+            fanout_at: None,
+            started_at: None,
+            resumed_at: None,
+            local_start_at: None,
+            demand: ResourceVec::WHOLE,
+            held: Vec::new(),
+            replicas: Vec::new(),
+        }
+    }
 }
 
 /// One invariant breach, with the instant it was observed.
@@ -329,18 +351,10 @@ fn whole_multiple(gap: SimDuration, cadence: SimDuration) -> bool {
 /// ```
 #[derive(Debug, Default)]
 pub struct AuditSink {
-    jobs: HashMap<JobId, JobAudit>,
-    /// The foreign jobs each station currently hosts, with their granted
-    /// demand vectors (several residents are legal when every dimension
-    /// stays within the station's capacity).
-    residents: HashMap<NodeId, Vec<(JobId, ResourceVec)>>,
-    /// Per-station capacity vectors, indexed by station id; stations past
-    /// the end (or an empty vector) default to a whole machine.
-    capacities: Vec<ResourceVec>,
-    /// Reverse of `residents`: every station a job holds (k for gangs).
-    held: HashMap<JobId, Vec<NodeId>>,
+    jobs: IdMap<JobId, JobAudit>,
+    stations: Stations,
     /// Last owner transition per station (`true` = active).
-    owner_active: HashMap<NodeId, bool>,
+    owner_active: IdMap<NodeId, bool>,
     /// Established poll cadence; inferred from observed gaps unless pinned
     /// via [`AuditSink::with_poll_interval`].
     cadence: Option<SimDuration>,
@@ -363,11 +377,7 @@ pub struct AuditSink {
     /// Nesting depth of chaos coordinator-outage windows.
     chaos_coord_depth: u32,
     /// Nesting depth of chaos partitions, per cut-off station.
-    chaos_link_depth: HashMap<NodeId, u32>,
-    /// Stations holding a live speculative replica of each job (see
-    /// [`crate::redundancy`]); every entry must be closed by a
-    /// `ReplicaCancelled` or consumed by the job's completion.
-    live_replicas: HashMap<JobId, Vec<NodeId>>,
+    chaos_link_depth: IdMap<NodeId, u32>,
     /// `ReplicaSpawned` events observed.
     replicas_spawned: u64,
     /// `ReplicaCancelled` events observed.
@@ -375,8 +385,159 @@ pub struct AuditSink {
     /// Sum of the `wasted_ms` carried by cancellations.
     replica_wasted_ms: u64,
     events: u64,
+    report: Report,
+}
+
+/// The violations found so far.
+#[derive(Debug, Default)]
+struct Report {
     total: u64,
     violations: Vec<AuditViolation>,
+}
+
+impl Report {
+    fn push(&mut self, at: SimTime, kind: AuditViolationKind) {
+        self.total += 1;
+        if self.violations.len() < AuditSink::MAX_RECORDED {
+            self.violations.push(AuditViolation { at, kind });
+        }
+    }
+
+    fn illegal(&mut self, at: SimTime, job: JobId, phase: JobPhase, event: &'static str) {
+        self.push(at, AuditViolationKind::IllegalTransition { job, phase: phase.name(), event });
+    }
+}
+
+/// The record of the job a lifecycle event names, or `None` — after
+/// reporting it — when the job never arrived or is already terminal (the
+/// event is then dropped).
+fn live_job<'a>(
+    jobs: &'a mut IdMap<JobId, JobAudit>,
+    report: &mut Report,
+    at: SimTime,
+    job: JobId,
+    event: &'static str,
+) -> Option<&'a mut JobAudit> {
+    match jobs.get_mut(&job) {
+        None => {
+            report.push(at, AuditViolationKind::EventBeforeArrival { job, event });
+            None
+        }
+        Some(a) if a.phase == JobPhase::Done => {
+            report.push(at, AuditViolationKind::EventAfterTerminal { job, event });
+            None
+        }
+        Some(a) => Some(a),
+    }
+}
+
+/// Station-side capacity state.
+#[derive(Debug, Default)]
+struct Stations {
+    /// The foreign jobs each station currently hosts, with their granted
+    /// demand vectors (several residents are legal when every dimension
+    /// stays within the station's capacity).
+    residents: IdMap<NodeId, Vec<(JobId, ResourceVec)>>,
+    /// Per-station capacity vectors, indexed by station id; stations past
+    /// the end (or an empty vector) default to a whole machine.
+    capacities: Vec<ResourceVec>,
+}
+
+impl Stations {
+    /// The audited capacity of a station (whole machine unless pinned).
+    fn capacity_of(&self, station: NodeId) -> ResourceVec {
+        self.capacities
+            .get(station.as_usize())
+            .copied()
+            .unwrap_or(ResourceVec::WHOLE)
+    }
+
+    /// Admits `job` (record `a`) onto `station`, checking per-dimension
+    /// capacity conservation against the residents already there.
+    /// Whole-machine demands landing on an occupied station report the
+    /// classic `DoubleOccupancy`; fractional overcommits report the
+    /// offending dimension.
+    fn admit(
+        &mut self,
+        report: &mut Report,
+        a: &mut JobAudit,
+        at: SimTime,
+        job: JobId,
+        station: NodeId,
+    ) {
+        let demand = a.demand;
+        let capacity = self.capacity_of(station);
+        let list = self.residents.entry(station).or_default();
+        let used = list
+            .iter()
+            .fold(ResourceVec::ZERO, |acc, &(_, d)| acc.add(d));
+        let first_resident = list.first().map(|&(j, _)| j);
+        list.push((job, demand));
+        a.held.push(station);
+        let granted = used.add(demand);
+        if granted.fits(capacity) {
+            return;
+        }
+        if let (true, Some(resident)) = (demand.is_whole(), first_resident) {
+            report.push(at, AuditViolationKind::DoubleOccupancy { station, resident, incoming: job });
+            return;
+        }
+        let over = [
+            ("cpu", granted.cpu_milli, capacity.cpu_milli),
+            ("mem", granted.mem_milli, capacity.mem_milli),
+            ("tag", granted.tag_milli, capacity.tag_milli),
+        ];
+        for (dimension, granted_milli, capacity_milli) in over {
+            if granted_milli > capacity_milli {
+                report.push(
+                    at,
+                    AuditViolationKind::CapacityExceeded {
+                        station,
+                        dimension,
+                        granted_milli,
+                        capacity_milli,
+                        incoming: job,
+                    },
+                );
+                return;
+            }
+        }
+    }
+
+    /// Removes `job` from `station`'s residents.
+    fn evict(&mut self, job: JobId, station: NodeId) {
+        if let Some(list) = self.residents.get_mut(&station) {
+            if let Some(p) = list.iter().position(|&(j, _)| j == job) {
+                list.swap_remove(p);
+            }
+        }
+    }
+
+    /// Removes one station from the job's holdings, reporting a
+    /// wrong-station release if it was not held.
+    fn release(
+        &mut self,
+        report: &mut Report,
+        a: &mut JobAudit,
+        at: SimTime,
+        job: JobId,
+        station: NodeId,
+        event: &'static str,
+    ) {
+        if let Some(pos) = a.held.iter().position(|&n| n == station) {
+            a.held.swap_remove(pos);
+            self.evict(job, station);
+        } else {
+            report.push(at, AuditViolationKind::WrongStationRelease { station, job, event });
+        }
+    }
+
+    /// Frees every station the job holds (completion or crash teardown).
+    fn release_all(&mut self, a: &mut JobAudit, job: JobId) {
+        for station in std::mem::take(&mut a.held) {
+            self.evict(job, station);
+        }
+    }
 }
 
 impl AuditSink {
@@ -414,7 +575,7 @@ impl AuditSink {
     /// capacity profile. Stations past the end of the vector default to
     /// whole machines.
     pub fn with_capacities(mut self, capacities: Vec<ResourceVec>) -> Self {
-        self.capacities = capacities;
+        self.stations.capacities = capacities;
         self
     }
 
@@ -425,18 +586,18 @@ impl AuditSink {
 
     /// Total violations observed (including any beyond the recorded cap).
     pub fn total_violations(&self) -> u64 {
-        self.total
+        self.report.total
     }
 
     /// The recorded violations, in observation order (first
     /// [`AuditSink::MAX_RECORDED`] only).
     pub fn violations(&self) -> &[AuditViolation] {
-        &self.violations
+        &self.report.violations
     }
 
     /// Whether no invariant was breached.
     pub fn is_clean(&self) -> bool {
-        self.total == 0
+        self.report.total == 0
     }
 
     /// Replica accounting observed so far: `(spawned, cancelled,
@@ -450,125 +611,278 @@ impl AuditSink {
 
     /// Consumes the auditor, yielding the recorded violations.
     pub fn into_violations(self) -> Vec<AuditViolation> {
-        self.violations
+        self.report.violations
     }
 
-    fn report(&mut self, at: SimTime, kind: AuditViolationKind) {
-        self.total += 1;
-        if self.violations.len() < Self::MAX_RECORDED {
-            self.violations.push(AuditViolation { at, kind });
+    /// A job's first appearance (arrival, rejection, or per-pool
+    /// adoption) in `phase`; a second arrival or rejection is reported.
+    fn enter(&mut self, at: SimTime, job: JobId, phase: JobPhase) {
+        match self.jobs.entry(job) {
+            Entry::Occupied(_) => {
+                self.report.push(at, AuditViolationKind::DuplicateArrival { job });
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(JobAudit::new(phase));
+            }
         }
     }
 
-    /// Fetches the job record, reporting if the job never arrived or is
-    /// already terminal. Returns `None` when the event must be dropped.
-    fn job_for_event(&mut self, at: SimTime, job: JobId, event: &'static str) -> bool {
-        match self.jobs.get(&job) {
-            None => {
-                self.report(at, AuditViolationKind::EventBeforeArrival { job, event });
-                false
-            }
-            Some(a) if a.phase == JobPhase::Done => {
-                self.report(at, AuditViolationKind::EventAfterTerminal { job, event });
-                false
-            }
-            Some(_) => true,
-        }
-    }
-
-    /// Copies out the phase and fan-out instant for a job known to exist.
-    fn job_snapshot(&self, job: JobId) -> (JobPhase, Option<SimTime>) {
-        let a = self.jobs.get(&job).expect("caller checked presence");
-        (a.phase, a.fanout_at)
-    }
-
-    fn illegal(&mut self, at: SimTime, job: JobId, phase: JobPhase, event: &'static str) {
-        self.report(
-            at,
-            AuditViolationKind::IllegalTransition { job, phase: phase.name(), event },
-        );
-    }
-
-    /// The audited capacity of a station (whole machine unless pinned).
-    fn capacity_of(&self, station: NodeId) -> ResourceVec {
-        self.capacities
-            .get(station.as_usize())
-            .copied()
-            .unwrap_or(ResourceVec::WHOLE)
-    }
-
-    /// Admits `job` onto `station`, checking per-dimension capacity
-    /// conservation against the residents already there. Whole-machine
-    /// demands landing on an occupied station report the classic
-    /// `DoubleOccupancy`; fractional overcommits report the offending
-    /// dimension.
-    fn admit(&mut self, at: SimTime, job: JobId, station: NodeId) {
-        let demand = self.jobs.get(&job).map_or(ResourceVec::WHOLE, |a| a.demand);
-        let capacity = self.capacity_of(station);
-        let list = self.residents.entry(station).or_default();
-        let used = list
-            .iter()
-            .fold(ResourceVec::ZERO, |acc, &(_, d)| acc.add(d));
-        let first_resident = list.first().map(|&(j, _)| j);
-        list.push((job, demand));
-        self.held.entry(job).or_default().push(station);
-        let granted = used.add(demand);
-        if granted.fits(capacity) {
+    /// The poll-cadence check for a `CoordinatorPolled` at `at`.
+    fn check_poll(&mut self, at: SimTime) {
+        // A chaos-delayed poll is off the grid by construction; it
+        // neither gets the cadence check nor becomes the baseline
+        // the next on-grid poll is measured against.
+        if self.delayed_poll_at == Some(at) {
             return;
         }
-        if let (true, Some(resident)) = (demand.is_whole(), first_resident) {
-            self.report(
-                at,
-                AuditViolationKind::DoubleOccupancy { station, resident, incoming: job },
-            );
-            return;
-        }
-        let over = [
-            ("cpu", granted.cpu_milli, capacity.cpu_milli),
-            ("mem", granted.mem_milli, capacity.mem_milli),
-            ("tag", granted.tag_milli, capacity.tag_milli),
-        ];
-        for (dimension, granted_milli, capacity_milli) in over {
-            if granted_milli > capacity_milli {
-                self.report(
-                    at,
-                    AuditViolationKind::CapacityExceeded {
-                        station,
-                        dimension,
-                        granted_milli,
-                        capacity_milli,
-                        incoming: job,
-                    },
-                );
+        if let Some(prev) = self.last_poll {
+            let gap = at.since(prev);
+            // Merged multi-pool streams tick one shared grid:
+            // same-instant polls are distinct pools tying, which a
+            // single coordinator can never legally produce. Only
+            // that zero gap is exempt; nonzero gaps keep the check.
+            if self.pools > 1 && gap.is_zero() {
                 return;
             }
-        }
-    }
-
-    /// Removes one station from the job's holdings, reporting a
-    /// wrong-station release if it was not held.
-    fn release(&mut self, at: SimTime, job: JobId, station: NodeId, event: &'static str) {
-        let held = self.held.entry(job).or_default();
-        if let Some(pos) = held.iter().position(|&n| n == station) {
-            held.swap_remove(pos);
-            if let Some(list) = self.residents.get_mut(&station) {
-                if let Some(p) = list.iter().position(|&(j, _)| j == job) {
-                    list.swap_remove(p);
+            match self.cadence {
+                None => self.cadence = Some(gap),
+                Some(cadence) => {
+                    if !whole_multiple(gap, cadence) {
+                        // A shorter gap that evenly divides the
+                        // inferred cadence means the first gap we
+                        // saw spanned coordinator downtime:
+                        // re-baseline rather than report.
+                        if !self.cadence_pinned && gap < cadence && whole_multiple(cadence, gap) {
+                            self.cadence = Some(gap);
+                        } else {
+                            self.report
+                                .push(at, AuditViolationKind::PollCadenceBroken { gap, cadence });
+                        }
+                    }
                 }
             }
-        } else {
-            self.report(at, AuditViolationKind::WrongStationRelease { station, job, event });
         }
+        self.last_poll = Some(at);
     }
 
-    /// Frees every station the job holds (completion or crash teardown).
-    fn release_all(&mut self, job: JobId) {
-        for station in self.held.remove(&job).unwrap_or_default() {
-            if let Some(list) = self.residents.get_mut(&station) {
-                if let Some(p) = list.iter().position(|&(j, _)| j == job) {
-                    list.swap_remove(p);
+    /// The checks for an event naming `job`, other than its first
+    /// appearance: one table lookup, then the phase machine.
+    fn job_event(&mut self, at: SimTime, job: JobId, kind: &TraceKind) {
+        let event = kind.name();
+        let Some(a) = live_job(&mut self.jobs, &mut self.report, at, job, event) else {
+            return;
+        };
+        let report = &mut self.report;
+        let phase = a.phase;
+        match *kind {
+            TraceKind::JobGranted { cpu_milli, mem_milli, tag_milli, .. } => {
+                // Announces the fractional demand of the placement that
+                // follows at this same instant; the demand is fixed for
+                // the job's life, so it persists across re-placements.
+                a.demand = ResourceVec { cpu_milli, mem_milli, tag_milli };
+                if phase != JobPhase::Queued {
+                    report.illegal(at, job, phase, event);
                 }
             }
+            TraceKind::PlacementStarted { target, .. } => {
+                // Gang fan-out: extra members at the same instant.
+                let gang_member = phase == JobPhase::Transfer && a.fanout_at == Some(at);
+                match phase {
+                    _ if gang_member => {}
+                    // Throttle: fan-outs for *different* placements
+                    // must sit at least one poll cadence apart. A
+                    // fan-out from a chaos-delayed poll is off the grid
+                    // by construction and is not remembered, so the next
+                    // on-grid fan-out is measured against the previous
+                    // on-grid one. In a merged multi-pool stream,
+                    // same-instant fan-outs are distinct pools ticking
+                    // the shared grid together — only that zero gap is
+                    // exempt.
+                    JobPhase::Queued if self.delayed_poll_at != Some(at) => {
+                        if let (Some((prev, _)), Some(cadence)) = (self.last_placement, self.cadence)
+                        {
+                            let gap = at.since(prev);
+                            let cross_pool_tie = self.pools > 1 && gap.is_zero();
+                            if gap < cadence && !cross_pool_tie {
+                                report.push(
+                                    at,
+                                    AuditViolationKind::PlacementThrottleBroken { gap, cadence },
+                                );
+                            }
+                        }
+                        self.last_placement = Some((at, job));
+                    }
+                    JobPhase::Queued => {}
+                    // Report, then follow the event anyway so one
+                    // corruption does not cascade into noise.
+                    phase => report.illegal(at, job, phase, event),
+                }
+                if !gang_member {
+                    a.phase = JobPhase::Transfer;
+                    a.fanout_at = Some(at);
+                }
+                self.stations.admit(report, a, at, job, target);
+            }
+            TraceKind::PlacementDiskRejected { .. }
+            | TraceKind::JobForwarded { .. } => {
+                // A forwarded job leaves this pool while still queued; it
+                // stays tracked so a merged trace can follow it into
+                // adoption.
+                if phase != JobPhase::Queued {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::JobStarted { .. } => {
+                // Legal from a landed transfer or a suspension; also as
+                // the restart notification paired with a same-instant
+                // resume marker (the gang event order), or straight
+                // from the queue when paired with a same-instant
+                // autonomous chaos start.
+                let legal = matches!(phase, JobPhase::Transfer | JobPhase::Suspended)
+                    || (phase == JobPhase::Running && a.resumed_at == Some(at))
+                    || (phase == JobPhase::Queued && a.local_start_at == Some(at));
+                a.started_at = Some(at);
+                a.phase = JobPhase::Running;
+                if !legal {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::JobResumedInPlace { .. } => {
+                // Legal from a suspension; also as the marker paired
+                // with a same-instant restart (single-job event order).
+                let legal = phase == JobPhase::Suspended
+                    || (phase == JobPhase::Running && a.started_at == Some(at));
+                a.resumed_at = Some(at);
+                a.phase = JobPhase::Running;
+                if !legal {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::JobSuspended { .. } => {
+                a.phase = JobPhase::Suspended;
+                // Transfer → Suspended is legal: the owner was already
+                // active when the placement image landed.
+                if !matches!(phase, JobPhase::Running | JobPhase::Transfer) {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::CheckpointStarted { .. } => {
+                a.ckpt_in_flight += 1;
+                a.phase = JobPhase::Checkpointing;
+                // Gang checkpoint-out repeats at the same instant.
+                let gang_member = phase == JobPhase::Checkpointing && a.fanout_at == Some(at);
+                if !gang_member {
+                    a.fanout_at = Some(at);
+                }
+                let legal = matches!(phase, JobPhase::Running | JobPhase::Suspended) || gang_member;
+                if !legal {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::CheckpointCompleted { from, .. } => {
+                if a.ckpt_in_flight == 0 {
+                    report.push(
+                        at,
+                        AuditViolationKind::UnmatchedCheckpointCompletion { job, station: from },
+                    );
+                } else {
+                    a.ckpt_in_flight -= 1;
+                    if a.ckpt_in_flight == 0 {
+                        a.phase = JobPhase::Queued;
+                    }
+                }
+                self.stations.release(report, a, at, job, from, event);
+            }
+            TraceKind::JobKilled { on, .. } => {
+                a.phase = JobPhase::Queued;
+                if !matches!(phase, JobPhase::Transfer | JobPhase::Running | JobPhase::Suspended) {
+                    report.illegal(at, job, phase, event);
+                }
+                self.stations.release(report, a, at, job, on, event);
+            }
+            TraceKind::PeriodicCheckpoint { .. } => {
+                if phase != JobPhase::Running {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::JobCompleted { on, .. } => {
+                // A completion delivered by a live replica on `on` is
+                // legal from *any* primary phase: the win tears the
+                // primary down wherever it was — queued, mid-transfer,
+                // suspended, even mid-checkpoint (that transfer will
+                // never complete, so its in-flight count is forgiven).
+                let replica_win = a.replicas.contains(&on);
+                if phase != JobPhase::Running && !replica_win {
+                    report.illegal(at, job, phase, event);
+                }
+                a.phase = JobPhase::Done;
+                if replica_win {
+                    a.ckpt_in_flight = 0;
+                }
+                if !a.held.contains(&on) {
+                    report.push(
+                        at,
+                        AuditViolationKind::WrongStationRelease { station: on, job, event },
+                    );
+                }
+                self.stations.release_all(a, job);
+                // Completion consumes at most the winning replica;
+                // rivals must have been cancelled beforehand.
+                let mut rivals = std::mem::take(&mut a.replicas);
+                rivals.retain(|&n| n != on);
+                if !rivals.is_empty() {
+                    report.push(
+                        at,
+                        AuditViolationKind::ReplicaLeaked { job, live: rivals.len() as u32 },
+                    );
+                }
+            }
+            TraceKind::CrashRollback { .. } => {
+                a.phase = JobPhase::Queued;
+                // The crash tears down any in-flight checkpoint
+                // transfer: the completion will never come.
+                a.ckpt_in_flight = 0;
+                self.stations.release_all(a, job);
+            }
+            TraceKind::ChaosLocalStart { on, .. } => {
+                a.local_start_at = Some(at);
+                if phase != JobPhase::Queued {
+                    report.illegal(at, job, phase, event);
+                }
+                self.stations.admit(report, a, at, job, on);
+            }
+            TraceKind::ChaosCkptCorrupted { .. } => {
+                // The retry keeps the transfer in flight: phase and
+                // `ckpt_in_flight` are both unchanged.
+                if phase != JobPhase::Checkpointing {
+                    report.illegal(at, job, phase, event);
+                }
+            }
+            TraceKind::ReplicaSpawned { on, .. } => {
+                // Replicas are phase-independent of the primary (they
+                // spawn alongside its placement and outlive its evictions)
+                // but still occupy real capacity on their station.
+                if a.replicas.contains(&on) {
+                    report.push(at, AuditViolationKind::DuplicateReplica { job, station: on });
+                } else {
+                    a.replicas.push(on);
+                }
+                self.replicas_spawned += 1;
+                self.stations.admit(report, a, at, job, on);
+            }
+            TraceKind::ReplicaCancelled { on, wasted_ms, .. } => {
+                match a.replicas.iter().position(|&n| n == on) {
+                    Some(p) => {
+                        a.replicas.swap_remove(p);
+                    }
+                    None => report
+                        .push(at, AuditViolationKind::UnmatchedReplicaCancel { job, station: on }),
+                }
+                self.replicas_cancelled += 1;
+                self.replica_wasted_ms += wasted_ms;
+                self.stations.release(report, a, at, job, on, event);
+            }
+            _ => unreachable!("`record` routes only lifecycle events here, not {event}"),
         }
     }
 }
@@ -578,287 +892,30 @@ impl TraceSink for AuditSink {
         self.events += 1;
         let at = ev.at;
         match ev.kind {
-            TraceKind::JobArrived { job } => {
-                let duplicate = match self.jobs.entry(job) {
-                    Entry::Occupied(_) => true,
+            TraceKind::JobArrived { job } => self.enter(at, job, JobPhase::Queued),
+            // Rejection replaces arrival; both for one job is illegal.
+            TraceKind::JobRejected { job } => self.enter(at, job, JobPhase::Done),
+            TraceKind::JobAdopted { job, on: _ } => {
+                // Adoption is the destination-pool arrival of a forwarded
+                // job. In a merged trace the job is already tracked (it
+                // was forwarded while queued); in a per-pool trace this is
+                // its first appearance and plays the role of an arrival.
+                match self.jobs.entry(job) {
+                    Entry::Occupied(mut slot) => {
+                        let phase = slot.get().phase;
+                        slot.get_mut().phase = JobPhase::Queued;
+                        if phase != JobPhase::Queued {
+                            self.report.illegal(at, job, phase, "job_adopted");
+                        }
+                    }
                     Entry::Vacant(slot) => {
-                        slot.insert(JobAudit {
-                            phase: JobPhase::Queued,
-                            ckpt_in_flight: 0,
-                            fanout_at: None,
-                            started_at: None,
-                            resumed_at: None,
-                            local_start_at: None,
-                            demand: ResourceVec::WHOLE,
-                        });
-                        false
+                        slot.insert(JobAudit::new(JobPhase::Queued));
                     }
-                };
-                if duplicate {
-                    self.report(at, AuditViolationKind::DuplicateArrival { job });
-                }
-            }
-            TraceKind::JobRejected { job } => {
-                // Rejection replaces arrival; both for one job is illegal.
-                let duplicate = match self.jobs.entry(job) {
-                    Entry::Occupied(_) => true,
-                    Entry::Vacant(slot) => {
-                        slot.insert(JobAudit {
-                            phase: JobPhase::Done,
-                            ckpt_in_flight: 0,
-                            fanout_at: None,
-                            started_at: None,
-                            resumed_at: None,
-                            local_start_at: None,
-                            demand: ResourceVec::WHOLE,
-                        });
-                        false
-                    }
-                };
-                if duplicate {
-                    self.report(at, AuditViolationKind::DuplicateArrival { job });
-                }
-            }
-            TraceKind::JobGranted { job, cpu_milli, mem_milli, tag_milli, .. } => {
-                // Announces the fractional demand of the placement that
-                // follows at this same instant; the demand is fixed for
-                // the job's life, so it persists across re-placements.
-                if self.job_for_event(at, job, "job_granted") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.demand = ResourceVec { cpu_milli, mem_milli, tag_milli };
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "job_granted");
-                    }
-                }
-            }
-            TraceKind::PlacementStarted { job, target } => {
-                if self.job_for_event(at, job, "placement_started") {
-                    let (phase, fanout_at) = self.job_snapshot(job);
-                    match phase {
-                        JobPhase::Queued => {
-                            // Throttle: fan-outs for *different* placements
-                            // must sit at least one poll cadence apart. A
-                            // fan-out from a chaos-delayed poll is off the
-                            // grid by construction and is not remembered,
-                            // so the next on-grid fan-out is measured
-                            // against the previous on-grid one. In a merged
-                            // multi-pool stream, same-instant fan-outs are
-                            // distinct pools ticking the shared grid
-                            // together — only that zero gap is exempt.
-                            if self.delayed_poll_at != Some(at) {
-                                if let (Some((prev, _)), Some(cadence)) =
-                                    (self.last_placement, self.cadence)
-                                {
-                                    let gap = at.since(prev);
-                                    let cross_pool_tie = self.pools > 1 && gap.is_zero();
-                                    if gap < cadence && !cross_pool_tie {
-                                        self.report(
-                                            at,
-                                            AuditViolationKind::PlacementThrottleBroken {
-                                                gap,
-                                                cadence,
-                                            },
-                                        );
-                                    }
-                                }
-                                self.last_placement = Some((at, job));
-                            }
-                            let a = self.jobs.get_mut(&job).expect("checked");
-                            a.phase = JobPhase::Transfer;
-                            a.fanout_at = Some(at);
-                        }
-                        // Gang fan-out: extra members at the same instant.
-                        JobPhase::Transfer if fanout_at == Some(at) => {}
-                        phase => {
-                            // Report, then follow the event anyway so one
-                            // corruption does not cascade into noise.
-                            self.illegal(at, job, phase, "placement_started");
-                            let a = self.jobs.get_mut(&job).expect("checked");
-                            a.phase = JobPhase::Transfer;
-                            a.fanout_at = Some(at);
-                        }
-                    }
-                    self.admit(at, job, target);
-                }
-            }
-            TraceKind::PlacementDiskRejected { job, .. } => {
-                if self.job_for_event(at, job, "placement_disk_rejected") {
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "placement_disk_rejected");
-                    }
-                }
-            }
-            TraceKind::JobStarted { job, on: _ } => {
-                if self.job_for_event(at, job, "job_started") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let (phase, resumed_at, local_start_at) =
-                        (a.phase, a.resumed_at, a.local_start_at);
-                    a.started_at = Some(at);
-                    a.phase = JobPhase::Running;
-                    // Legal from a landed transfer or a suspension; also as
-                    // the restart notification paired with a same-instant
-                    // resume marker (the gang event order), or straight
-                    // from the queue when paired with a same-instant
-                    // autonomous chaos start.
-                    let legal = matches!(phase, JobPhase::Transfer | JobPhase::Suspended)
-                        || (phase == JobPhase::Running && resumed_at == Some(at))
-                        || (phase == JobPhase::Queued && local_start_at == Some(at));
-                    if !legal {
-                        self.illegal(at, job, phase, "job_started");
-                    }
-                }
-            }
-            TraceKind::JobResumedInPlace { job, on: _ } => {
-                if self.job_for_event(at, job, "job_resumed_in_place") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let (phase, started_at) = (a.phase, a.started_at);
-                    a.resumed_at = Some(at);
-                    a.phase = JobPhase::Running;
-                    // Legal from a suspension; also as the marker paired
-                    // with a same-instant restart (single-job event order).
-                    let legal = phase == JobPhase::Suspended
-                        || (phase == JobPhase::Running && started_at == Some(at));
-                    if !legal {
-                        self.illegal(at, job, phase, "job_resumed_in_place");
-                    }
-                }
-            }
-            TraceKind::JobSuspended { job, on: _ } => {
-                if self.job_for_event(at, job, "job_suspended") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.phase = JobPhase::Suspended;
-                    // Transfer → Suspended is legal: the owner was already
-                    // active when the placement image landed.
-                    if !matches!(phase, JobPhase::Running | JobPhase::Transfer) {
-                        self.illegal(at, job, phase, "job_suspended");
-                    }
-                }
-            }
-            TraceKind::CheckpointStarted { job, .. } => {
-                if self.job_for_event(at, job, "checkpoint_started") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let (phase, fanout_at) = (a.phase, a.fanout_at);
-                    a.ckpt_in_flight += 1;
-                    a.phase = JobPhase::Checkpointing;
-                    // Gang checkpoint-out repeats at the same instant.
-                    let gang_member = phase == JobPhase::Checkpointing && fanout_at == Some(at);
-                    if !gang_member {
-                        a.fanout_at = Some(at);
-                    }
-                    let legal =
-                        matches!(phase, JobPhase::Running | JobPhase::Suspended) || gang_member;
-                    if !legal {
-                        self.illegal(at, job, phase, "checkpoint_started");
-                    }
-                }
-            }
-            TraceKind::CheckpointCompleted { job, from, .. } => {
-                if self.job_for_event(at, job, "checkpoint_completed") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    if a.ckpt_in_flight == 0 {
-                        self.report(
-                            at,
-                            AuditViolationKind::UnmatchedCheckpointCompletion {
-                                job,
-                                station: from,
-                            },
-                        );
-                    } else {
-                        a.ckpt_in_flight -= 1;
-                        if a.ckpt_in_flight == 0 {
-                            a.phase = JobPhase::Queued;
-                        }
-                    }
-                    self.release(at, job, from, "checkpoint_completed");
-                }
-            }
-            TraceKind::JobKilled { job, on } => {
-                if self.job_for_event(at, job, "job_killed") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.phase = JobPhase::Queued;
-                    if !matches!(
-                        phase,
-                        JobPhase::Transfer | JobPhase::Running | JobPhase::Suspended
-                    ) {
-                        self.illegal(at, job, phase, "job_killed");
-                    }
-                    self.release(at, job, on, "job_killed");
-                }
-            }
-            TraceKind::PeriodicCheckpoint { job, on: _ } => {
-                if self.job_for_event(at, job, "periodic_checkpoint") {
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Running {
-                        self.illegal(at, job, phase, "periodic_checkpoint");
-                    }
-                }
-            }
-            TraceKind::JobCompleted { job, on } => {
-                if self.job_for_event(at, job, "job_completed") {
-                    // A completion delivered by a live replica on `on` is
-                    // legal from *any* primary phase: the win tears the
-                    // primary down wherever it was — queued, mid-transfer,
-                    // suspended, even mid-checkpoint (that transfer will
-                    // never complete, so its in-flight count is forgiven).
-                    let replica_win = self
-                        .live_replicas
-                        .get(&job)
-                        .is_some_and(|stations| stations.contains(&on));
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Running && !replica_win {
-                        self.illegal(at, job, phase, "job_completed");
-                    }
-                    {
-                        let a = self.jobs.get_mut(&job).expect("checked");
-                        a.phase = JobPhase::Done;
-                        if replica_win {
-                            a.ckpt_in_flight = 0;
-                        }
-                    }
-                    if !self.held.get(&job).is_some_and(|h| h.contains(&on)) {
-                        self.report(
-                            at,
-                            AuditViolationKind::WrongStationRelease {
-                                station: on,
-                                job,
-                                event: "job_completed",
-                            },
-                        );
-                    }
-                    self.release_all(job);
-                    // Completion consumes at most the winning replica;
-                    // rivals must have been cancelled beforehand.
-                    if let Some(mut stations) = self.live_replicas.remove(&job) {
-                        stations.retain(|&n| n != on);
-                        if !stations.is_empty() {
-                            self.report(
-                                at,
-                                AuditViolationKind::ReplicaLeaked {
-                                    job,
-                                    live: stations.len() as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            TraceKind::CrashRollback { job, on: _ } => {
-                if self.job_for_event(at, job, "crash_rollback") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    a.phase = JobPhase::Queued;
-                    // The crash tears down any in-flight checkpoint
-                    // transfer: the completion will never come.
-                    a.ckpt_in_flight = 0;
-                    self.release_all(job);
                 }
             }
             TraceKind::OwnerActive { station } => {
                 if self.owner_active.insert(station, true) == Some(true) {
-                    self.report(
+                    self.report.push(
                         at,
                         AuditViolationKind::OwnerTransitionRepeated { station, active: true },
                     );
@@ -866,81 +923,20 @@ impl TraceSink for AuditSink {
             }
             TraceKind::OwnerIdle { station } => {
                 if self.owner_active.insert(station, false) == Some(false) {
-                    self.report(
+                    self.report.push(
                         at,
                         AuditViolationKind::OwnerTransitionRepeated { station, active: false },
                     );
                 }
             }
-            TraceKind::CoordinatorPolled { .. } => {
-                // A chaos-delayed poll is off the grid by construction; it
-                // neither gets the cadence check nor becomes the baseline
-                // the next on-grid poll is measured against.
-                if self.delayed_poll_at == Some(at) {
-                    return;
-                }
-                if let Some(prev) = self.last_poll {
-                    let gap = at.since(prev);
-                    // Merged multi-pool streams tick one shared grid:
-                    // same-instant polls are distinct pools tying, which a
-                    // single coordinator can never legally produce. Only
-                    // that zero gap is exempt; nonzero gaps keep the check.
-                    if self.pools > 1 && gap.is_zero() {
-                        return;
-                    }
-                    match self.cadence {
-                        None => self.cadence = Some(gap),
-                        Some(cadence) => {
-                            if !whole_multiple(gap, cadence) {
-                                // A shorter gap that evenly divides the
-                                // inferred cadence means the first gap we
-                                // saw spanned coordinator downtime:
-                                // re-baseline rather than report.
-                                if !self.cadence_pinned
-                                    && gap < cadence
-                                    && whole_multiple(cadence, gap)
-                                {
-                                    self.cadence = Some(gap);
-                                } else {
-                                    self.report(
-                                        at,
-                                        AuditViolationKind::PollCadenceBroken { gap, cadence },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                self.last_poll = Some(at);
-            }
+            TraceKind::CoordinatorPolled { .. } => self.check_poll(at),
             TraceKind::ChaosPollDelayed { .. } => {
                 self.delayed_poll_at = Some(at);
-            }
-            TraceKind::ChaosLocalStart { job, on } => {
-                if self.job_for_event(at, job, "chaos_local_start") {
-                    let a = self.jobs.get_mut(&job).expect("checked");
-                    let phase = a.phase;
-                    a.local_start_at = Some(at);
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "chaos_local_start");
-                    }
-                    self.admit(at, job, on);
-                }
-            }
-            TraceKind::ChaosCkptCorrupted { job, .. } => {
-                if self.job_for_event(at, job, "chaos_ckpt_corrupted") {
-                    // The retry keeps the transfer in flight: phase and
-                    // `ckpt_in_flight` are both unchanged.
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Checkpointing {
-                        self.illegal(at, job, phase, "chaos_ckpt_corrupted");
-                    }
-                }
             }
             TraceKind::ChaosCoordDown => self.chaos_coord_depth += 1,
             TraceKind::ChaosCoordUp => {
                 if self.chaos_coord_depth == 0 {
-                    self.report(
+                    self.report.push(
                         at,
                         AuditViolationKind::UnmatchedChaosRecovery { event: "chaos_coord_up" },
                     );
@@ -953,93 +949,34 @@ impl TraceSink for AuditSink {
             }
             TraceKind::ChaosLinkUp { station } => match self.chaos_link_depth.get_mut(&station) {
                 Some(depth) if *depth > 0 => *depth -= 1,
-                _ => self.report(
+                _ => self.report.push(
                     at,
                     AuditViolationKind::UnmatchedChaosRecovery { event: "chaos_link_up" },
                 ),
             },
-            TraceKind::JobForwarded { job, .. } => {
-                // The job leaves this pool while still queued; it stays
-                // tracked so a merged trace can follow it into adoption.
-                if self.job_for_event(at, job, "job_forwarded") {
-                    let (phase, _) = self.job_snapshot(job);
-                    if phase != JobPhase::Queued {
-                        self.illegal(at, job, phase, "job_forwarded");
-                    }
-                }
-            }
-            TraceKind::JobAdopted { job, on: _ } => {
-                // Adoption is the destination-pool arrival of a forwarded
-                // job. In a merged trace the job is already tracked (it
-                // was forwarded while queued); in a per-pool trace this is
-                // its first appearance and plays the role of an arrival.
-                match self.jobs.entry(job) {
-                    Entry::Occupied(mut slot) => {
-                        let phase = slot.get().phase;
-                        slot.get_mut().phase = JobPhase::Queued;
-                        if phase != JobPhase::Queued {
-                            self.illegal(at, job, phase, "job_adopted");
-                        }
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(JobAudit {
-                            phase: JobPhase::Queued,
-                            ckpt_in_flight: 0,
-                            fanout_at: None,
-                            started_at: None,
-                            resumed_at: None,
-                            local_start_at: None,
-                            demand: ResourceVec::WHOLE,
-                        });
-                    }
-                }
-            }
-            TraceKind::ReplicaSpawned { job, on } => {
-                // Replicas are phase-independent of the primary (they
-                // spawn alongside its placement and outlive its evictions)
-                // but still occupy real capacity on their station.
-                if self.job_for_event(at, job, "replica_spawned") {
-                    let list = self.live_replicas.entry(job).or_default();
-                    if list.contains(&on) {
-                        self.report(
-                            at,
-                            AuditViolationKind::DuplicateReplica { job, station: on },
-                        );
-                    } else {
-                        list.push(on);
-                    }
-                    self.replicas_spawned += 1;
-                    self.admit(at, job, on);
-                }
-            }
-            TraceKind::ReplicaCancelled { job, on, wasted_ms } => {
-                if self.job_for_event(at, job, "replica_cancelled") {
-                    let matched = self
-                        .live_replicas
-                        .get_mut(&job)
-                        .and_then(|list| {
-                            list.iter().position(|&n| n == on).map(|p| {
-                                list.swap_remove(p);
-                            })
-                        })
-                        .is_some();
-                    if !matched {
-                        self.report(
-                            at,
-                            AuditViolationKind::UnmatchedReplicaCancel { job, station: on },
-                        );
-                    }
-                    self.replicas_cancelled += 1;
-                    self.replica_wasted_ms += wasted_ms;
-                    self.release(at, job, on, "replica_cancelled");
-                }
-            }
             TraceKind::ChaosPollLost
             | TraceKind::ChaosDupDropped
             | TraceKind::StationFailed { .. }
             | TraceKind::StationRecovered { .. }
             | TraceKind::ReservationStarted { .. }
             | TraceKind::ReservationEnded { .. } => {}
+            TraceKind::JobGranted { job, .. }
+            | TraceKind::PlacementStarted { job, .. }
+            | TraceKind::PlacementDiskRejected { job, .. }
+            | TraceKind::JobStarted { job, .. }
+            | TraceKind::JobResumedInPlace { job, .. }
+            | TraceKind::JobSuspended { job, .. }
+            | TraceKind::CheckpointStarted { job, .. }
+            | TraceKind::CheckpointCompleted { job, .. }
+            | TraceKind::JobKilled { job, .. }
+            | TraceKind::PeriodicCheckpoint { job, .. }
+            | TraceKind::JobCompleted { job, .. }
+            | TraceKind::CrashRollback { job, .. }
+            | TraceKind::ChaosLocalStart { job, .. }
+            | TraceKind::ChaosCkptCorrupted { job, .. }
+            | TraceKind::JobForwarded { job, .. }
+            | TraceKind::ReplicaSpawned { job, .. }
+            | TraceKind::ReplicaCancelled { job, .. } => self.job_event(at, job, &ev.kind),
         }
     }
 
@@ -1054,21 +991,27 @@ impl TraceSink for AuditSink {
             .collect();
         imbalanced.sort_unstable_by_key(|&(job, _)| job);
         for (job, in_flight) in imbalanced {
-            self.report(at, AuditViolationKind::CheckpointImbalance { job, in_flight });
+            self.report.push(at, AuditViolationKind::CheckpointImbalance { job, in_flight });
         }
         // Replica conservation: every spawned copy must have been
         // cancelled or consumed by its job's completion by the horizon
         // (the simulation cancels survivors in `finalize`).
         let mut leaked: Vec<(JobId, u32)> = self
-            .live_replicas
+            .jobs
             .iter()
-            .filter(|(_, stations)| !stations.is_empty())
-            .map(|(&job, stations)| (job, stations.len() as u32))
+            .filter(|(_, a)| !a.replicas.is_empty())
+            .map(|(&job, a)| (job, a.replicas.len() as u32))
             .collect();
         leaked.sort_unstable_by_key(|&(job, _)| job);
         for (job, live) in leaked {
-            self.report(at, AuditViolationKind::ReplicaLeaked { job, live });
+            self.report.push(at, AuditViolationKind::ReplicaLeaked { job, live });
         }
+    }
+
+    /// Every event kind (each counts toward
+    /// [`events_seen`](AuditSink::events_seen)), no gauge samples.
+    fn interest(&self) -> Interest {
+        Interest::ALL.without_samples()
     }
 }
 

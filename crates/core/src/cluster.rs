@@ -40,7 +40,7 @@ use crate::policy::{
 };
 use crate::queue::BackgroundQueue;
 use crate::redundancy::CkptTiming;
-use crate::telemetry::{GaugeSample, StatsSink, Telemetry, TraceSink};
+use crate::telemetry::{GaugeSample, Interest, StatsSink, Telemetry, TraceSink};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::updown::UpDown;
 
@@ -658,8 +658,9 @@ pub struct Cluster {
     trace: Trace,
     /// Always-on telemetry aggregation (cheap: O(1) per event).
     stats: StatsSink,
-    /// Caller-attached observers, fed before the legacy trace.
-    extra_sinks: Vec<Box<dyn TraceSink + Send>>,
+    /// Caller-attached observers with their interest, read once at
+    /// attachment; fed before the legacy trace.
+    extra_sinks: Vec<(Interest, Box<dyn TraceSink + Send>)>,
     totals: Totals,
     queue_total: StepSeries,
     /// Per-user queue series, indexed by dense user slot (see
@@ -1032,10 +1033,11 @@ impl Cluster {
     }
 
     /// Attaches an additional observer of the event stream. Sinks see every
-    /// event from this point on, in simulation order, and their `finish`
-    /// runs when the cluster finalizes. Use a
-    /// [`SharedSink`](crate::telemetry::SharedSink) handle to keep access
-    /// to the sink after the run.
+    /// event of the kinds their [`TraceSink::interest`] names (read once,
+    /// here) from this point on, in simulation order, and gauge samples
+    /// if it names those; their `finish` runs when the cluster finalizes.
+    /// Use a [`SharedSink`](crate::telemetry::SharedSink) handle to keep
+    /// access to the sink after the run.
     pub fn attach_sink(&mut self, mut sink: Box<dyn TraceSink + Send>) {
         // Flatten fan-out containers: their children become direct members
         // of `extra_sinks`, so each event pays one virtual call per leaf
@@ -1046,7 +1048,7 @@ impl Cluster {
                     self.attach_sink(child);
                 }
             }
-            None => self.extra_sinks.push(sink),
+            None => self.extra_sinks.push((sink.interest(), sink)),
         }
     }
 
@@ -1065,16 +1067,21 @@ impl Cluster {
     /// no-extra-sinks emit path stays branch-and-return small.
     #[cold]
     fn emit_extra(&mut self, ev: &TraceEvent) {
-        for s in &mut self.extra_sinks {
-            s.record(ev);
+        let index = ev.kind.index();
+        for (interest, s) in &mut self.extra_sinks {
+            if interest.wants_index(index) {
+                s.record(ev);
+            }
         }
     }
 
-    /// Routes one gauge sample through every observer.
+    /// Routes one gauge sample through every observer that reads samples.
     fn emit_sample(&mut self, s: GaugeSample) {
         self.stats.sample(&s);
-        for sink in &mut self.extra_sinks {
-            sink.sample(&s);
+        for (interest, sink) in &mut self.extra_sinks {
+            if interest.wants_samples() {
+                sink.sample(&s);
+            }
         }
     }
 
@@ -3759,7 +3766,7 @@ impl Cluster {
             }
         }
         self.stats.finish(horizon);
-        for s in &mut self.extra_sinks {
+        for (_, s) in &mut self.extra_sinks {
             s.finish(horizon);
         }
     }

@@ -58,6 +58,7 @@
 #![warn(missing_debug_implementations)]
 
 mod bits;
+mod idhash;
 pub mod audit;
 pub mod chaos;
 pub mod cluster;
@@ -95,8 +96,8 @@ pub use spans::{
     Breakdown, JobBreakdown, JobSpans, Occupancy, Span, SpanLog, SpanMarker, SpanPhase, SpanSink,
 };
 pub use telemetry::{
-    FanoutSink, GaugeSample, KindFilterSink, RingSink, SharedSink, StatsSink, Telemetry,
-    TraceSink, VecSink,
+    FanoutSink, GaugeSample, Interest, KindFilterSink, RingSink, SharedSink, StatsSink,
+    Telemetry, TraceSink, VecSink,
 };
 pub use trace::{Trace, TraceEvent, TraceKind, TraceParseError};
 pub use updown::{UpDown, UpDownConfig};

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use condor_net::NodeId;
 use condor_sim::engine::Engine;
@@ -47,7 +47,7 @@ use condor_sim::time::{SimDuration, SimTime};
 use crate::cluster::{finish_run, Cluster, Event, RunOutput, Totals};
 use crate::config::{ClusterConfig, ConfigError, PoolTopology};
 use crate::job::{Job, JobId, JobSpec, JobState, UserId};
-use crate::telemetry::{GaugeSample, SharedSink, Telemetry, TraceSink};
+use crate::telemetry::{Emission, GaugeSample, Interest, Telemetry, TraceSink};
 use crate::trace::{Trace, TraceEvent};
 
 /// Worker threads to use when the caller does not pin a count: the
@@ -88,37 +88,35 @@ struct ShardMeta {
     to_global: Vec<JobId>,
 }
 
-/// An emission captured from one shard between two barriers, replayed
-/// into user sinks in merged order.
-#[derive(Debug)]
-enum EmitItem {
-    Event(TraceEvent),
-    Sample(GaugeSample),
-}
-
-impl EmitItem {
-    fn at(&self) -> SimTime {
-        match self {
-            EmitItem::Event(ev) => ev.at,
-            EmitItem::Sample(s) => s.at,
-        }
-    }
-}
-
 /// Buffers one shard's emissions (events and gauge samples) in emission
 /// order so the main thread can drain and merge them at each barrier.
-#[derive(Debug, Default)]
+/// Every call lands in the shared buffer at once — unlike a
+/// [`SharedSink`](crate::telemetry::SharedSink), which batches — because
+/// the drain reads it mid-run.
+#[derive(Debug, Clone)]
 struct EmitLog {
-    items: Vec<EmitItem>,
+    items: Arc<Mutex<Vec<Emission>>>,
+    /// Everything the user's sinks read between them.
+    interest: Interest,
+}
+
+impl EmitLog {
+    fn push(&self, e: Emission) {
+        self.items.lock().expect("emit log lock").push(e);
+    }
 }
 
 impl TraceSink for EmitLog {
     fn record(&mut self, ev: &TraceEvent) {
-        self.items.push(EmitItem::Event(*ev));
+        self.push(Emission::Event(*ev));
     }
 
     fn sample(&mut self, s: &GaugeSample) {
-        self.items.push(EmitItem::Sample(*s));
+        self.push(Emission::Sample(*s));
+    }
+
+    fn interest(&self) -> Interest {
+        self.interest
     }
 }
 
@@ -287,23 +285,23 @@ fn remap_event(ev: TraceEvent, meta: &ShardMeta) -> TraceEvent {
 /// `(time, pool, emission index)`, remaps ids, and replays it into the
 /// user's sinks.
 fn drain_emit_logs(
-    logs: &[SharedSink<EmitLog>],
+    logs: &[EmitLog],
     slots: &[Mutex<ShardSlot>],
-    user_sinks: &mut [Box<dyn TraceSink + Send>],
+    user_sinks: &mut [(Interest, Box<dyn TraceSink + Send>)],
 ) {
     if logs.is_empty() || user_sinks.is_empty() {
         return;
     }
-    let mut batch: Vec<(SimTime, usize, usize, EmitItem)> = Vec::new();
+    let mut batch: Vec<(SimTime, usize, usize, Emission)> = Vec::new();
     for (p, log) in logs.iter().enumerate() {
-        let items = log.with(|l| std::mem::take(&mut l.items));
+        let items = std::mem::take(&mut *log.items.lock().expect("emit log lock"));
         if items.is_empty() {
             continue;
         }
         let slot = slots[p].lock().expect("shard lock");
         for (i, item) in items.into_iter().enumerate() {
             let item = match item {
-                EmitItem::Event(ev) => EmitItem::Event(remap_event(ev, &slot.meta)),
+                Emission::Event(ev) => Emission::Event(remap_event(ev, &slot.meta)),
                 sample => sample,
             };
             batch.push((item.at(), p, i, item));
@@ -311,10 +309,9 @@ fn drain_emit_logs(
     }
     batch.sort_by_key(|&(at, p, i, _)| (at, p, i));
     for (_, _, _, item) in batch {
-        for sink in user_sinks.iter_mut() {
-            match &item {
-                EmitItem::Event(ev) => sink.record(ev),
-                EmitItem::Sample(s) => sink.sample(s),
+        for (interest, sink) in user_sinks.iter_mut() {
+            if item.wanted_by(*interest) {
+                item.deliver(&mut **sink);
             }
         }
     }
@@ -500,8 +497,10 @@ pub(crate) fn run_sharded(
         .chaos
         .as_ref()
         .map(|c| crate::chaos::route_to_pools(c, &ranges, coordinator_pool));
-    let mut user_sinks = sinks;
-    let mut emit_logs: Vec<SharedSink<EmitLog>> = Vec::new();
+    let mut user_sinks: Vec<(Interest, Box<dyn TraceSink + Send>)> =
+        sinks.into_iter().map(|s| (s.interest(), s)).collect();
+    let wanted = user_sinks.iter().fold(Interest::NONE, |acc, (i, _)| acc.union(*i));
+    let mut emit_logs: Vec<EmitLog> = Vec::new();
     let slots: Vec<Mutex<ShardSlot>> = (0..pools)
         .map(|p| {
             let cfg = shard_config(&config, &ranges[p], p, chaos_parts.as_deref());
@@ -510,11 +509,11 @@ pub(crate) fn run_sharded(
                 if pools == 1 {
                     // Single shard: attach the user's sinks directly —
                     // they see the exact serial stream, no batching.
-                    for sink in user_sinks.drain(..) {
+                    for (_, sink) in user_sinks.drain(..) {
                         cluster.attach_sink(sink);
                     }
                 } else {
-                    let log = SharedSink::new(EmitLog::default());
+                    let log = EmitLog { items: Arc::default(), interest: wanted };
                     cluster.attach_sink(Box::new(log.clone()));
                     emit_logs.push(log);
                 }
@@ -550,7 +549,7 @@ pub(crate) fn run_sharded(
                 break;
             }
         }
-        for sink in user_sinks.iter_mut() {
+        for (_, sink) in user_sinks.iter_mut() {
             sink.finish(end);
         }
     };

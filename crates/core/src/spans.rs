@@ -28,13 +28,15 @@
 //! per-job and aggregate where-time-went fractions plus the critical path
 //! of the run's makespan.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 use condor_net::NodeId;
 use condor_sim::time::{SimDuration, SimTime};
 
+use crate::idhash::IdMap;
 use crate::job::JobId;
-use crate::telemetry::TraceSink;
+use crate::telemetry::{Interest, TraceSink};
 use crate::trace::{TraceEvent, TraceKind};
 
 /// A lifecycle phase a job passes through, as observable from the trace.
@@ -274,7 +276,7 @@ impl SpanLog {
 /// Folding state for one in-flight job: its open span and the stations it
 /// currently holds. This — not the [`SpanLog`] — is what stays O(active
 /// jobs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OpenJob {
     phase: SpanPhase,
     since: SimTime,
@@ -285,6 +287,121 @@ struct OpenJob {
     /// Granted CPU milli-fraction, set by `JobGranted` ahead of the
     /// placement it describes; 1000 when no grant event was seen.
     cpu_milli: u32,
+}
+
+impl OpenJob {
+    /// A job entering a queue at `at`.
+    fn queued(at: SimTime) -> Self {
+        OpenJob {
+            phase: SpanPhase::Queued,
+            since: at,
+            station: None,
+            holding: Vec::new(),
+            cpu_milli: 1000,
+        }
+    }
+
+    /// The open span, closed at `until`.
+    fn span_until(&self, until: SimTime) -> Span {
+        Span { phase: self.phase, from: self.since, until, station: self.station }
+    }
+}
+
+/// Everything known about one job: its history so far and, while it is
+/// in flight, its open span.
+#[derive(Debug, Clone, Default)]
+struct JobFold {
+    spans: JobSpans,
+    open: Option<OpenJob>,
+}
+
+/// Occupancy intervals per station, in release order.
+type StationLog = IdMap<NodeId, Vec<Occupancy>>;
+
+/// Appends a released occupancy to its station's list.
+fn occupied(stations: &mut StationLog, node: NodeId, occ: Occupancy) {
+    stations.entry(node).or_default().push(occ);
+}
+
+impl JobFold {
+    /// Closes the open span at `at` and opens the next phase.
+    fn transition(&mut self, at: SimTime, phase: SpanPhase, station: Option<NodeId>) {
+        let Some(open) = &mut self.open else { return };
+        if open.phase == phase {
+            return; // gang members repeat the collective transition
+        }
+        self.spans.spans.push(open.span_until(at));
+        open.phase = phase;
+        open.since = at;
+        open.station = station;
+    }
+
+    /// Closes the open span at `at` and retires it, releasing every held
+    /// station. Returns whether the job was open.
+    fn close(&mut self, job: JobId, at: SimTime, stations: &mut StationLog) -> bool {
+        let Some(open) = self.open.take() else { return false };
+        self.spans.spans.push(open.span_until(at));
+        for (node, since) in open.holding {
+            let occ = Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli };
+            occupied(stations, node, occ);
+        }
+        true
+    }
+
+    /// Releases one station the job holds (checkpoint landed, kill).
+    fn release_station(&mut self, job: JobId, node: NodeId, at: SimTime, stations: &mut StationLog) {
+        let Some(open) = &mut self.open else { return };
+        if let Some(pos) = open.holding.iter().position(|(n, _)| *n == node) {
+            let (_, since) = open.holding.swap_remove(pos);
+            let occ = Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli };
+            occupied(stations, node, occ);
+        }
+    }
+
+    /// Releases every station the job holds (crash teardown).
+    fn release_all(&mut self, job: JobId, at: SimTime, stations: &mut StationLog) {
+        let Some(open) = &mut self.open else { return };
+        for (node, since) in std::mem::take(&mut open.holding) {
+            let occ = Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli };
+            occupied(stations, node, occ);
+        }
+    }
+}
+
+/// The fold's working tables, keyed by id for one cheap lookup per
+/// event; [`Fold::into_log`] turns them into the ordered [`SpanLog`].
+#[derive(Debug, Clone, Default)]
+struct Fold {
+    jobs: IdMap<JobId, JobFold>,
+    stations: StationLog,
+    markers: Vec<SpanMarker>,
+    finished_at: SimTime,
+}
+
+impl Fold {
+    /// The log, moving every history out of the tables.
+    fn into_log(self) -> SpanLog {
+        SpanLog {
+            jobs: self.jobs.into_iter().map(|(job, f)| (job, f.spans)).collect(),
+            stations: self.stations.into_iter().collect(),
+            markers: self.markers,
+            finished_at: self.finished_at,
+        }
+    }
+
+    /// The tables of a finished log (no job still open).
+    fn from_log(log: SpanLog) -> Self {
+        Fold {
+            jobs: log
+                .jobs
+                .into_iter()
+                .map(|(job, spans)| (job, JobFold { spans, open: None }))
+                .collect(),
+            stations: log.stations.into_iter().collect(),
+            markers: log.markers,
+            finished_at: log.finished_at,
+        }
+    }
 }
 
 /// A [`TraceSink`] that folds the event stream into a [`SpanLog`] online.
@@ -326,8 +443,12 @@ struct OpenJob {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpanSink {
-    log: SpanLog,
-    open: HashMap<JobId, OpenJob>,
+    fold: Fold,
+    /// The ordered log: built by `finish` from the moved-out tables
+    /// (`sealed`), or copied from them when [`log`](SpanSink::log) is
+    /// asked for mid-run.
+    log: OnceCell<SpanLog>,
+    sealed: bool,
 }
 
 impl SpanSink {
@@ -338,14 +459,17 @@ impl SpanSink {
 
     /// The log accumulated so far (open spans not yet closed).
     pub fn log(&self) -> &SpanLog {
-        &self.log
+        self.log.get_or_init(|| self.fold.clone().into_log())
     }
 
     /// Consumes the sink, yielding the log. Call after
     /// [`finish`](TraceSink::finish) so open spans are closed at the
     /// horizon.
-    pub fn into_log(self) -> SpanLog {
-        self.log
+    pub fn into_log(mut self) -> SpanLog {
+        match self.log.take() {
+            Some(log) if self.sealed => log,
+            _ => self.fold.into_log(),
+        }
     }
 
     /// Rebuilds a span log from a recorded event sequence, closing open
@@ -359,195 +483,159 @@ impl SpanSink {
         sink.into_log()
     }
 
-    /// Closes the job's open span at `at` and opens the next phase.
-    fn transition(&mut self, job: JobId, at: SimTime, phase: SpanPhase, station: Option<NodeId>) {
-        let Some(open) = self.open.get_mut(&job) else { return };
-        if open.phase == phase {
-            return; // gang members repeat the collective transition
-        }
-        let closed = Span { phase: open.phase, from: open.since, until: at, station: open.station };
-        open.phase = phase;
-        open.since = at;
-        open.station = station;
-        self.log.jobs.entry(job).or_default().spans.push(closed);
-    }
-
-    /// Closes the job's open span and retires it (completion).
-    fn close(&mut self, job: JobId, at: SimTime) {
-        let Some(open) = self.open.remove(&job) else { return };
-        let js = self.log.jobs.entry(job).or_default();
-        js.spans.push(Span { phase: open.phase, from: open.since, until: at, station: open.station });
-        js.completed = Some(at);
-        for (node, since) in open.holding {
-            self.log
-                .stations
-                .entry(node)
-                .or_default()
-                .push(Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli });
+    /// Drops a log built before this call, moving a finished one back
+    /// into the tables, so the fold can go on.
+    fn unseal(&mut self) {
+        if let Some(log) = self.log.take() {
+            if std::mem::take(&mut self.sealed) {
+                self.fold = Fold::from_log(log);
+            }
         }
     }
+}
 
-    /// Releases one station the job holds (checkpoint landed, kill).
-    fn release_station(&mut self, job: JobId, node: NodeId, at: SimTime) {
-        let Some(open) = self.open.get_mut(&job) else { return };
-        if let Some(pos) = open.holding.iter().position(|(n, _)| *n == node) {
-            let (_, since) = open.holding.swap_remove(pos);
-            let cpu_milli = open.cpu_milli;
-            self.log
-                .stations
-                .entry(node)
-                .or_default()
-                .push(Occupancy { job, from: since, until: at, cpu_milli });
-        }
-    }
-
-    /// Releases every station the job holds (crash teardown).
-    fn release_all(&mut self, job: JobId, at: SimTime) {
-        let Some(open) = self.open.get_mut(&job) else { return };
-        let cpu_milli = open.cpu_milli;
-        for (node, since) in std::mem::take(&mut open.holding) {
-            self.log
-                .stations
-                .entry(node)
-                .or_default()
-                .push(Occupancy { job, from: since, until: at, cpu_milli });
-        }
-    }
-
-    fn mark(&mut self, at: SimTime, job: JobId, station: NodeId, label: &'static str) {
-        self.log.markers.push(SpanMarker { at, job, station, label });
-    }
+fn mark(markers: &mut Vec<SpanMarker>, at: SimTime, job: JobId, station: NodeId, label: &'static str) {
+    markers.push(SpanMarker { at, job, station, label });
 }
 
 impl TraceSink for SpanSink {
     fn record(&mut self, ev: &TraceEvent) {
+        self.unseal();
+        let Some(job) = ev.kind.job() else { return };
         let at = ev.at;
+        let Fold { jobs, stations, markers, .. } = &mut self.fold;
         match ev.kind {
-            TraceKind::JobArrived { job } => {
-                let js = self.log.jobs.entry(job).or_default();
-                js.arrived = at;
-                self.open.insert(
-                    job,
-                    OpenJob {
-                        phase: SpanPhase::Queued,
-                        since: at,
-                        station: None,
-                        holding: Vec::new(),
-                        cpu_milli: 1000,
-                    },
-                );
+            TraceKind::JobArrived { .. } => {
+                let f = jobs.entry(job).or_default();
+                f.spans.arrived = at;
+                f.open = Some(OpenJob::queued(at));
+                return;
             }
-            TraceKind::JobGranted { job, cpu_milli, .. } => {
-                // Emitted immediately ahead of the placement it describes;
-                // the grant is fixed for the job's stay on that station.
-                if let Some(open) = self.open.get_mut(&job) {
-                    open.cpu_milli = cpu_milli;
-                }
-            }
-            TraceKind::PlacementStarted { job, target } => {
-                self.transition(job, at, SpanPhase::Transfer, Some(target));
-                if let Some(open) = self.open.get_mut(&job) {
-                    open.holding.push((target, at));
-                }
-            }
-            TraceKind::JobStarted { job, on } => {
-                self.transition(job, at, SpanPhase::Running, Some(on));
-            }
-            TraceKind::JobSuspended { job, on } => {
-                self.transition(job, at, SpanPhase::Suspended, Some(on));
-                self.mark(at, job, on, "suspended");
-            }
-            TraceKind::JobResumedInPlace { job, on } => {
-                // The cluster emits `JobStarted` alongside this marker (in
-                // either order, depending on the gang path), so the
-                // transition below is usually a no-op for one of the two.
-                self.transition(job, at, SpanPhase::Running, Some(on));
-                self.mark(at, job, on, "resumed_in_place");
-            }
-            TraceKind::CheckpointStarted { job, from, .. } => {
-                self.transition(job, at, SpanPhase::Checkpointing, Some(from));
-                self.mark(at, job, from, "checkpoint_out");
-            }
-            TraceKind::CheckpointCompleted { job, from, bytes } => {
-                self.transition(job, at, SpanPhase::Queued, None);
-                self.release_station(job, from, at);
-                if let Some(js) = self.log.jobs.get_mut(&job) {
-                    js.transfer_bytes += bytes;
-                }
-            }
-            TraceKind::JobKilled { job, on } => {
-                self.transition(job, at, SpanPhase::Queued, None);
-                self.release_station(job, on, at);
-                self.mark(at, job, on, "killed");
-            }
-            TraceKind::PeriodicCheckpoint { job, on } => {
-                self.mark(at, job, on, "periodic_checkpoint");
-            }
-            TraceKind::CrashRollback { job, on } => {
-                self.transition(job, at, SpanPhase::Queued, None);
-                self.release_all(job, at);
-                self.mark(at, job, on, "crash_rollback");
-            }
-            TraceKind::JobCompleted { job, .. } => {
-                self.close(job, at);
-            }
-            TraceKind::ChaosCkptCorrupted { job, from, .. } => {
-                // The job stays Checkpointing; the marker records the retry.
-                self.mark(at, job, from, "chaos_ckpt_corrupted");
-            }
-            TraceKind::ChaosLocalStart { job, on } => {
-                // An autonomous start occupies the home station just like a
-                // placed image; the paired `JobStarted` does the phase
-                // transition.
-                if let Some(open) = self.open.get_mut(&job) {
-                    open.holding.push((on, at));
-                }
-                self.mark(at, job, on, "chaos_local_start");
-            }
-            TraceKind::JobForwarded { job, .. } => {
-                // The job leaves this pool mid-queue: end its open span
-                // here without marking it completed. Forwarded jobs hold
-                // no stations, so there is nothing to release.
-                if let Some(open) = self.open.remove(&job) {
-                    let js = self.log.jobs.entry(job).or_default();
-                    js.spans.push(Span {
-                        phase: open.phase,
-                        from: open.since,
-                        until: at,
-                        station: open.station,
-                    });
-                }
-            }
-            TraceKind::JobAdopted { job, on } => {
+            TraceKind::JobAdopted { on, .. } => {
                 // Adoption opens the job's life in the destination pool,
                 // exactly like an arrival; the marker records the station
                 // whose queue adopted it.
-                let js = self.log.jobs.entry(job).or_default();
-                if js.spans.is_empty() && js.arrived == SimTime::ZERO {
-                    js.arrived = at;
+                let f = jobs.entry(job).or_default();
+                if f.spans.spans.is_empty() && f.spans.arrived == SimTime::ZERO {
+                    f.spans.arrived = at;
                 }
-                self.open.insert(
-                    job,
-                    OpenJob {
-                        phase: SpanPhase::Queued,
-                        since: at,
-                        station: None,
-                        holding: Vec::new(),
-                        cpu_milli: 1000,
-                    },
-                );
-                self.mark(at, job, on, "adopted");
+                f.open = Some(OpenJob::queued(at));
+                mark(markers, at, job, on, "adopted");
+                return;
+            }
+            _ => {}
+        }
+        // Every other kind concerns a job already seen; markers are kept
+        // even for one that is not.
+        let f = jobs.get_mut(&job);
+        match ev.kind {
+            TraceKind::JobGranted { cpu_milli, .. } => {
+                // Emitted immediately ahead of the placement it describes;
+                // the grant is fixed for the job's stay on that station.
+                if let Some(open) = f.and_then(|f| f.open.as_mut()) {
+                    open.cpu_milli = cpu_milli;
+                }
+            }
+            TraceKind::PlacementStarted { target, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Transfer, Some(target));
+                    if let Some(open) = &mut f.open {
+                        open.holding.push((target, at));
+                    }
+                }
+            }
+            TraceKind::JobStarted { on, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Running, Some(on));
+                }
+            }
+            TraceKind::JobSuspended { on, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Suspended, Some(on));
+                }
+                mark(markers, at, job, on, "suspended");
+            }
+            TraceKind::JobResumedInPlace { on, .. } => {
+                // The cluster emits `JobStarted` alongside this marker (in
+                // either order, depending on the gang path), so the
+                // transition below is usually a no-op for one of the two.
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Running, Some(on));
+                }
+                mark(markers, at, job, on, "resumed_in_place");
+            }
+            TraceKind::CheckpointStarted { from, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Checkpointing, Some(from));
+                }
+                mark(markers, at, job, from, "checkpoint_out");
+            }
+            TraceKind::CheckpointCompleted { from, bytes, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Queued, None);
+                    f.release_station(job, from, at, stations);
+                    f.spans.transfer_bytes += bytes;
+                }
+            }
+            TraceKind::JobKilled { on, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Queued, None);
+                    f.release_station(job, on, at, stations);
+                }
+                mark(markers, at, job, on, "killed");
+            }
+            TraceKind::PeriodicCheckpoint { on, .. } => {
+                mark(markers, at, job, on, "periodic_checkpoint");
+            }
+            TraceKind::CrashRollback { on, .. } => {
+                if let Some(f) = f {
+                    f.transition(at, SpanPhase::Queued, None);
+                    f.release_all(job, at, stations);
+                }
+                mark(markers, at, job, on, "crash_rollback");
+            }
+            TraceKind::JobCompleted { .. } => {
+                if let Some(f) = f {
+                    if f.close(job, at, stations) {
+                        f.spans.completed = Some(at);
+                    }
+                }
+            }
+            TraceKind::ChaosCkptCorrupted { from, .. } => {
+                // The job stays Checkpointing; the marker records the retry.
+                mark(markers, at, job, from, "chaos_ckpt_corrupted");
+            }
+            TraceKind::ChaosLocalStart { on, .. } => {
+                // An autonomous start occupies the home station just like a
+                // placed image; the paired `JobStarted` does the phase
+                // transition.
+                if let Some(open) = f.and_then(|f| f.open.as_mut()) {
+                    open.holding.push((on, at));
+                }
+                mark(markers, at, job, on, "chaos_local_start");
+            }
+            TraceKind::JobForwarded { .. } => {
+                // The job leaves this pool mid-queue: end its open span
+                // here without marking it completed. Forwarded jobs hold
+                // no stations, so there is nothing to release.
+                if let Some(f) = f {
+                    if let Some(open) = f.open.take() {
+                        f.spans.spans.push(open.span_until(at));
+                    }
+                }
             }
             // Replicas never alter the primary's phase timeline — the job
             // stays Queued (or Running elsewhere) while copies race. The
             // markers record where and when the redundancy budget went.
-            TraceKind::ReplicaSpawned { job, on } => {
-                self.mark(at, job, on, "replica_spawned");
+            TraceKind::ReplicaSpawned { on, .. } => {
+                mark(markers, at, job, on, "replica_spawned");
             }
-            TraceKind::ReplicaCancelled { job, on, .. } => {
-                self.mark(at, job, on, "replica_cancelled");
+            TraceKind::ReplicaCancelled { on, .. } => {
+                mark(markers, at, job, on, "replica_cancelled");
             }
-            TraceKind::JobRejected { .. }
+            TraceKind::JobArrived { .. }
+            | TraceKind::JobAdopted { .. }
+            | TraceKind::JobRejected { .. }
             | TraceKind::PlacementDiskRejected { .. }
             | TraceKind::OwnerActive { .. }
             | TraceKind::OwnerIdle { .. }
@@ -567,33 +655,55 @@ impl TraceSink for SpanSink {
     }
 
     fn finish(&mut self, at: SimTime) {
-        self.log.finished_at = at;
-        // Close open spans and occupancies at the horizon; keys are sorted
-        // so the output is deterministic regardless of hash order.
-        let mut pending: Vec<JobId> = self.open.keys().copied().collect();
+        self.unseal();
+        let fold = &mut self.fold;
+        fold.finished_at = at;
+        // Close open spans and occupancies at the horizon, in job order so
+        // the output is deterministic regardless of hash order.
+        let mut pending: Vec<JobId> = fold
+            .jobs
+            .iter()
+            .filter(|(_, f)| f.open.is_some())
+            .map(|(&job, _)| job)
+            .collect();
         pending.sort_unstable();
         for job in pending {
-            let open = self.open.remove(&job).expect("key listed");
-            let js = self.log.jobs.entry(job).or_default();
-            js.spans.push(Span {
-                phase: open.phase,
-                from: open.since,
-                until: at,
-                station: open.station,
-            });
-            for (node, since) in open.holding {
-                self.log
-                    .stations
-                    .entry(node)
-                    .or_default()
-                    .push(Occupancy { job, from: since, until: at, cpu_milli: open.cpu_milli });
-            }
+            let f = fold.jobs.get_mut(&job).expect("key listed");
+            f.close(job, at, &mut fold.stations);
         }
         // Occupancy lists fill in release order; present them in start
         // order per station.
-        for occ in self.log.stations.values_mut() {
+        for occ in fold.stations.values_mut() {
             occ.sort_by_key(|o| o.from);
         }
+        let log = std::mem::take(fold).into_log();
+        self.log = OnceCell::from(log);
+        self.sealed = true;
+    }
+
+    /// Only the lifecycle kinds that move a span, an occupancy, or a
+    /// marker; no gauge samples.
+    fn interest(&self) -> Interest {
+        Interest::ALL
+            .without_kinds(&[
+                "job_rejected",
+                "placement_disk_rejected",
+                "owner_active",
+                "owner_idle",
+                "station_failed",
+                "station_recovered",
+                "reservation_started",
+                "reservation_ended",
+                "coordinator_polled",
+                "chaos_poll_lost",
+                "chaos_poll_delayed",
+                "chaos_dup_dropped",
+                "chaos_link_down",
+                "chaos_link_up",
+                "chaos_coord_down",
+                "chaos_coord_up",
+            ])
+            .without_samples()
     }
 }
 

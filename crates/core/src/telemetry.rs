@@ -19,6 +19,10 @@
 //! Sinks also receive periodic [`GaugeSample`]s — instantaneous cluster
 //! state (bus backlog, free machines, Up-Down index) captured at each
 //! coordinator poll, which no discrete event carries.
+//!
+//! Each sink declares its [`Interest`] — the event kinds it reads and
+//! whether it reads samples — and producers skip the calls it does not
+//! need; see [`TraceSink::interest`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -51,22 +55,132 @@ pub struct GaugeSample {
     pub updown_mean_index: Option<f64>,
 }
 
+/// Which parts of the stream a sink reads: a set of [`TraceKind`]s and
+/// whether it reads [`GaugeSample`]s.
+///
+/// # Examples
+///
+/// ```
+/// use condor_core::telemetry::Interest;
+/// use condor_core::trace::TraceKind;
+///
+/// let quiet = Interest::ALL.without_kinds(&["chaos_poll_lost"]).without_samples();
+/// assert!(!quiet.wants(&TraceKind::ChaosPollLost));
+/// assert!(quiet.wants(&TraceKind::ChaosCoordDown));
+/// assert!(!quiet.wants_samples());
+/// assert_eq!(quiet.union(Interest::ALL), Interest::ALL);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Interest {
+    /// Bit [`TraceKind::index`] set ⇔ the sink reads that kind.
+    kinds: u64,
+    samples: bool,
+}
+
+// One mask bit per kind.
+const _: () = assert!(
+    TraceKind::COUNT <= u64::BITS as usize,
+    "TraceKind::COUNT exceeds the Interest mask width"
+);
+
+impl Interest {
+    /// Every event kind and every gauge sample — the default.
+    pub const ALL: Interest = Interest {
+        kinds: u64::MAX >> (u64::BITS as usize - TraceKind::COUNT),
+        samples: true,
+    };
+
+    /// Nothing at all.
+    pub const NONE: Interest = Interest { kinds: 0, samples: false };
+
+    /// Whether the sink reads events of `kind`'s kind.
+    #[inline]
+    pub fn wants(self, kind: &TraceKind) -> bool {
+        self.wants_index(kind.index())
+    }
+
+    /// Whether the sink reads events whose [`TraceKind::index`] is `index`.
+    #[inline]
+    pub fn wants_index(self, index: usize) -> bool {
+        self.kinds >> index & 1 == 1
+    }
+
+    /// Whether the sink reads gauge samples.
+    #[inline]
+    pub fn wants_samples(self) -> bool {
+        self.samples
+    }
+
+    /// The same interest, without gauge samples.
+    pub fn without_samples(self) -> Interest {
+        Interest { samples: false, ..self }
+    }
+
+    /// The same interest, plus the named kinds (snake_case, as in
+    /// [`TraceKind::names`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name that matches no kind.
+    pub fn with_kinds(self, names: &[&str]) -> Interest {
+        Interest { kinds: self.kinds | kind_bits(names), ..self }
+    }
+
+    /// The same interest, minus the named kinds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name that matches no kind.
+    pub fn without_kinds(self, names: &[&str]) -> Interest {
+        Interest { kinds: self.kinds & !kind_bits(names), ..self }
+    }
+
+    /// Everything either interest reads.
+    pub fn union(self, other: Interest) -> Interest {
+        Interest { kinds: self.kinds | other.kinds, samples: self.samples || other.samples }
+    }
+}
+
+/// Mask bits of the named kinds.
+fn kind_bits(names: &[&str]) -> u64 {
+    names.iter().fold(0, |bits, name| {
+        let i = TraceKind::index_of_name(name)
+            .unwrap_or_else(|| panic!("unknown trace kind name {name:?}"));
+        bits | 1 << i
+    })
+}
+
 /// An observer of the cluster's event stream.
 ///
 /// The cluster calls [`record`](TraceSink::record) once per
 /// [`TraceEvent`] in simulation order, [`sample`](TraceSink::sample) once
 /// per coordinator poll, and [`finish`](TraceSink::finish) exactly once
-/// when the run ends. Implementations must be `Send` so runs stay usable
-/// from the parallel replication harness.
+/// when the run ends — skipping the `record` and `sample` calls the
+/// sink's [`interest`](TraceSink::interest) excludes. Implementations
+/// must be `Send` so runs stay usable from the parallel replication
+/// harness.
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Observes one event, in simulation order.
     fn record(&mut self, ev: &TraceEvent);
 
-    /// Observes one periodic gauge sample. Default: ignored.
+    /// Observes one periodic gauge sample. Default: ignored — so a sink
+    /// that overrides this must also keep samples in its
+    /// [`interest`](TraceSink::interest).
     fn sample(&mut self, _s: &GaugeSample) {}
 
     /// Called once when the run reaches its horizon. Default: no-op.
     fn finish(&mut self, _at: SimTime) {}
+
+    /// The event kinds this sink reads and whether it reads samples.
+    /// Producers — the cluster, the sharded runner's replay,
+    /// [`SharedSink`], [`KindFilterSink`] — read this once, when the sink
+    /// is attached or wrapped, and may skip every call it excludes; so
+    /// the answer must not change afterwards, and the sink must reach the
+    /// same results whether or not it is also offered what it excludes.
+    /// Default: [`Interest::ALL`].
+    fn interest(&self) -> Interest {
+        Interest::ALL
+    }
 
     /// For pure fan-out containers: surrenders the child sinks so the
     /// cluster can attach them directly, flattening nested fan-outs to one
@@ -244,6 +358,10 @@ impl TraceSink for FanoutSink {
         }
     }
 
+    fn interest(&self) -> Interest {
+        self.sinks.iter().fold(Interest::NONE, |acc, s| acc.union(s.interest()))
+    }
+
     fn take_children(&mut self) -> Option<Vec<Box<dyn TraceSink + Send>>> {
         Some(std::mem::take(&mut self.sinks))
     }
@@ -253,7 +371,10 @@ impl TraceSink for FanoutSink {
 /// gauge samples and `finish` always pass through.
 ///
 /// Backs `condor trace --kind a,b`: wrap the printing/exporting sink so a
-/// month-scale run streams only the event families of interest.
+/// month-scale run streams only the event families of interest. Its
+/// [`interest`](TraceSink::interest) is the inner sink's narrowed to the
+/// enabled kinds, so an attached filter is never even offered the
+/// disabled ones.
 ///
 /// # Examples
 ///
@@ -274,21 +395,20 @@ impl TraceSink for FanoutSink {
 ///     kind: TraceKind::JobCompleted { job: JobId(0), on: condor_net::NodeId::new(0) },
 /// });
 /// assert_eq!(only_arrivals.inner().len(), 1);
-/// assert_eq!(only_arrivals.dropped(), 1);
+/// assert_eq!(only_arrivals.passed(), 1);
 /// ```
 #[derive(Debug)]
 pub struct KindFilterSink<S> {
     mask: [bool; TraceKind::COUNT],
     inner: S,
     passed: u64,
-    dropped: u64,
 }
 
 impl<S> KindFilterSink<S> {
     /// Wraps `inner` with an explicit per-kind mask (indexed by
     /// [`TraceKind::index`]).
     pub fn new(inner: S, mask: [bool; TraceKind::COUNT]) -> Self {
-        KindFilterSink { mask, inner, passed: 0, dropped: 0 }
+        KindFilterSink { mask, inner, passed: 0 }
     }
 
     /// Wraps `inner`, enabling exactly the named kinds (snake_case, as in
@@ -324,11 +444,6 @@ impl<S> KindFilterSink<S> {
     pub fn passed(&self) -> u64 {
         self.passed
     }
-
-    /// Events suppressed so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl<S: TraceSink> TraceSink for KindFilterSink<S> {
@@ -336,8 +451,6 @@ impl<S: TraceSink> TraceSink for KindFilterSink<S> {
         if self.mask[ev.kind.index()] {
             self.passed += 1;
             self.inner.record(ev);
-        } else {
-            self.dropped += 1;
         }
     }
 
@@ -348,10 +461,67 @@ impl<S: TraceSink> TraceSink for KindFilterSink<S> {
     fn finish(&mut self, at: SimTime) {
         self.inner.finish(at);
     }
+
+    fn interest(&self) -> Interest {
+        let enabled = self
+            .mask
+            .iter()
+            .enumerate()
+            .fold(0, |bits, (i, &on)| bits | u64::from(on) << i);
+        let inner = self.inner.interest();
+        Interest { kinds: inner.kinds & enabled, ..inner }
+    }
+}
+
+/// One buffered call to a sink: an event or a gauge sample, kept in
+/// emission order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Emission {
+    Event(TraceEvent),
+    Sample(GaugeSample),
+}
+
+impl Emission {
+    /// When the event happened or the sample was taken.
+    pub(crate) fn at(&self) -> SimTime {
+        match self {
+            Emission::Event(ev) => ev.at,
+            Emission::Sample(s) => s.at,
+        }
+    }
+
+    /// Whether a sink with `interest` reads this call.
+    #[inline]
+    pub(crate) fn wanted_by(&self, interest: Interest) -> bool {
+        match self {
+            Emission::Event(ev) => interest.wants(&ev.kind),
+            Emission::Sample(_) => interest.wants_samples(),
+        }
+    }
+
+    /// Delivers this call to `sink`.
+    #[inline]
+    pub(crate) fn deliver(&self, sink: &mut (impl TraceSink + ?Sized)) {
+        match self {
+            Emission::Event(ev) => sink.record(ev),
+            Emission::Sample(s) => sink.sample(s),
+        }
+    }
 }
 
 /// A cloneable handle to a sink, so the caller keeps access after the
 /// cluster takes ownership of a boxed copy.
+///
+/// Every handle shares one sink behind a mutex. A handle that is fed
+/// events (the one handed to the cluster) buffers them, and samples, in
+/// order, and delivers each [`BATCH`](SharedSink::BATCH) of them under a
+/// single lock; it delivers what remains on [`finish`](TraceSink::finish),
+/// when it is dropped, and in [`try_into_inner`](SharedSink::try_into_inner).
+/// So another handle's [`with`](SharedSink::with) sees the whole stream
+/// once the run has finished or the fed handle is gone. The handle also
+/// applies the wrapped sink's [`interest`](TraceSink::interest), read
+/// once at [`new`](SharedSink::new): excluded calls are dropped before
+/// they reach the buffer.
 ///
 /// # Examples
 ///
@@ -366,47 +536,105 @@ impl<S: TraceSink> TraceSink for KindFilterSink<S> {
 /// assert_eq!(events, 0);
 /// ```
 #[derive(Debug)]
-pub struct SharedSink<S> {
+pub struct SharedSink<S: TraceSink> {
     inner: Arc<Mutex<S>>,
+    interest: Interest,
+    /// Calls recorded through this handle, not yet delivered.
+    pending: Vec<Emission>,
 }
 
-impl<S> Clone for SharedSink<S> {
+impl<S: TraceSink> Clone for SharedSink<S> {
+    /// Another handle to the same sink, with an empty buffer of its own.
     fn clone(&self) -> Self {
-        SharedSink { inner: Arc::clone(&self.inner) }
+        SharedSink {
+            inner: Arc::clone(&self.inner),
+            interest: self.interest,
+            pending: Vec::new(),
+        }
     }
 }
 
-impl<S> SharedSink<S> {
+impl<S: TraceSink> SharedSink<S> {
+    /// Calls a handle buffers before delivering them under one lock.
+    pub const BATCH: usize = 256;
+
     /// Wraps a sink in a shared handle.
     pub fn new(sink: S) -> Self {
-        SharedSink { inner: Arc::new(Mutex::new(sink)) }
+        SharedSink {
+            interest: sink.interest(),
+            inner: Arc::new(Mutex::new(sink)),
+            pending: Vec::new(),
+        }
     }
 
-    /// Runs `f` with exclusive access to the inner sink.
+    /// Runs `f` with exclusive access to the inner sink. Calls still
+    /// buffered in *this* handle are not yet delivered (see the type
+    /// docs); a handle that is only read from never buffers any.
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.inner.lock().expect("sink lock poisoned"))
     }
 
-    /// Recovers the inner sink. Returns `None` if other handles are still
-    /// alive.
+    /// Delivers this handle's buffered calls and recovers the inner sink.
+    /// Returns `None` if other handles are still alive.
     pub fn try_into_inner(self) -> Option<S> {
-        Arc::try_unwrap(self.inner)
+        let inner = Arc::clone(&self.inner);
+        drop(self); // delivers this handle's buffered calls
+        Arc::try_unwrap(inner)
             .ok()
             .map(|m| m.into_inner().expect("sink lock poisoned"))
+    }
+
+    #[inline]
+    fn push(&mut self, e: Emission) {
+        self.pending.push(e);
+        if self.pending.len() >= Self::BATCH {
+            self.flush();
+        }
+    }
+
+    /// Delivers the buffered calls under one lock.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut sink = self.inner.lock().expect("sink lock poisoned");
+        for e in self.pending.drain(..) {
+            e.deliver(&mut *sink);
+        }
+    }
+}
+
+impl<S: TraceSink> Drop for SharedSink<S> {
+    fn drop(&mut self) {
+        // While unwinding, a panic inside the sink would abort.
+        if !std::thread::panicking() {
+            self.flush();
+        }
     }
 }
 
 impl<S: TraceSink> TraceSink for SharedSink<S> {
+    #[inline]
     fn record(&mut self, ev: &TraceEvent) {
-        self.with(|s| s.record(ev));
+        if self.interest.wants(&ev.kind) {
+            self.push(Emission::Event(*ev));
+        }
     }
 
+    #[inline]
     fn sample(&mut self, s: &GaugeSample) {
-        self.with(|sink| sink.sample(s));
+        if self.interest.wants_samples() {
+            self.push(Emission::Sample(*s));
+        }
     }
 
     fn finish(&mut self, at: SimTime) {
+        self.flush();
         self.with(|s| s.finish(at));
+    }
+
+    fn interest(&self) -> Interest {
+        self.interest
     }
 }
 
@@ -741,6 +969,120 @@ mod tests {
         fan.finish(SimTime::from_secs(3));
         assert_eq!(a.with(|s| s.len()), 2);
         assert_eq!(b.with(|s| s.seen()), 2);
+    }
+
+    /// Logs every call it receives, events and samples alike, in order.
+    #[derive(Debug, Default)]
+    struct CallLog {
+        calls: Vec<(&'static str, u64)>,
+        finished: Option<SimTime>,
+    }
+
+    impl TraceSink for CallLog {
+        fn record(&mut self, ev: &TraceEvent) {
+            self.calls.push(("event", ev.at.as_secs()));
+        }
+
+        fn sample(&mut self, s: &GaugeSample) {
+            self.calls.push(("sample", s.at.as_secs()));
+        }
+
+        fn finish(&mut self, at: SimTime) {
+            self.finished = Some(at);
+        }
+    }
+
+    fn gauge(secs: u64) -> GaugeSample {
+        GaugeSample {
+            at: SimTime::from_secs(secs),
+            bus_backlog: SimDuration::ZERO,
+            free_machines: 0,
+            waiting_jobs: 0,
+            updown_mean_index: None,
+        }
+    }
+
+    /// Feeds `fed` more than two batches, every third call a sample, and
+    /// returns the calls in feeding order.
+    fn feed(fed: &mut SharedSink<CallLog>) -> Vec<(&'static str, u64)> {
+        let n = 2 * SharedSink::<CallLog>::BATCH as u64 + 7;
+        (0..n)
+            .map(|i| {
+                if i % 3 == 2 {
+                    fed.sample(&gauge(i));
+                    ("sample", i)
+                } else {
+                    fed.record(&ev(i, TraceKind::OwnerIdle { station: NodeId::new(0) }));
+                    ("event", i)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_sink_delivers_batches_in_order_on_finish() {
+        let reader = SharedSink::new(CallLog::default());
+        let mut fed = reader.clone();
+        let expected = feed(&mut fed);
+        // Whole batches are delivered as they fill; the tail waits.
+        let batch = SharedSink::<CallLog>::BATCH;
+        assert_eq!(reader.with(|l| l.calls.len()), 2 * batch);
+        fed.finish(SimTime::from_secs(9_999));
+        reader.with(|l| {
+            assert_eq!(l.calls, expected);
+            assert_eq!(l.finished, Some(SimTime::from_secs(9_999)));
+        });
+    }
+
+    #[test]
+    fn shared_sink_delivers_the_tail_when_dropped_unfinished() {
+        let reader = SharedSink::new(CallLog::default());
+        let mut fed = reader.clone();
+        let expected = feed(&mut fed);
+        drop(fed);
+        reader.with(|l| {
+            assert_eq!(l.calls, expected);
+            assert_eq!(l.finished, None);
+        });
+    }
+
+    #[test]
+    fn shared_sink_delivers_the_tail_in_try_into_inner() {
+        let reader = SharedSink::new(CallLog::default());
+        let mut fed = reader.clone();
+        let expected = feed(&mut fed);
+        // Still shared, so no sink comes back — but the tail is delivered.
+        assert!(fed.try_into_inner().is_none());
+        let log = reader.try_into_inner().expect("last handle");
+        assert_eq!(log.calls, expected);
+    }
+
+    /// A call log that declares it reads arrivals only.
+    #[derive(Debug, Default)]
+    struct ArrivalsOnly(CallLog);
+
+    impl TraceSink for ArrivalsOnly {
+        fn record(&mut self, ev: &TraceEvent) {
+            self.0.record(ev);
+        }
+
+        fn sample(&mut self, s: &GaugeSample) {
+            self.0.sample(s);
+        }
+
+        fn interest(&self) -> Interest {
+            Interest::NONE.with_kinds(&["job_arrived"])
+        }
+    }
+
+    #[test]
+    fn shared_sink_drops_what_its_sink_does_not_read() {
+        let mut shared = SharedSink::new(ArrivalsOnly::default());
+        shared.record(&ev(1, TraceKind::JobArrived { job: JobId(0) }));
+        shared.record(&ev(2, TraceKind::OwnerIdle { station: NodeId::new(0) }));
+        shared.sample(&gauge(3));
+        let log = shared.try_into_inner().expect("sole handle");
+        assert_eq!(log.0.calls, vec![("event", 1)]);
     }
 
     /// One exemplar event per kind, in `TraceKind::index` order — the

@@ -17,7 +17,7 @@
 //!   [`RunOutput`] trace, now a thin wrapper that feeds the sink.
 
 use condor_core::cluster::RunOutput;
-use condor_core::telemetry::TraceSink;
+use condor_core::telemetry::{Interest, TraceSink};
 use condor_core::trace::{TraceEvent, TraceKind};
 use condor_net::NodeId;
 use condor_sim::stats::Running;
@@ -167,6 +167,11 @@ impl TraceSink for AvailabilitySink {
 
     fn finish(&mut self, at: SimTime) {
         self.finished_at = at;
+    }
+
+    /// Owner transitions only.
+    fn interest(&self) -> Interest {
+        Interest::NONE.with_kinds(&["owner_active", "owner_idle"])
     }
 }
 

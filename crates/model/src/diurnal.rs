@@ -7,16 +7,20 @@
 //! time of week — which the owner-activity process then realises
 //! stochastically.
 
+use std::sync::Arc;
+
 use condor_sim::time::{SimDuration, SimTime};
 
 /// Hour-by-hour activity levels over a week.
 ///
 /// The week starts at simulated time zero, which is **Monday 00:00** by
-/// convention; experiment binaries label their axes accordingly.
+/// convention; experiment binaries label their axes accordingly. Clones
+/// share one table, so a fleet of owners built from one profile holds a
+/// single copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     /// 168 hourly activity levels in `[0, 1]`, Monday 00:00 first.
-    hourly: Vec<f64>,
+    hourly: Arc<[f64]>,
 }
 
 impl DiurnalProfile {
@@ -30,7 +34,7 @@ impl DiurnalProfile {
         for &v in &hourly {
             assert!((0.0..=1.0).contains(&v), "activity level {v} outside [0, 1]");
         }
-        DiurnalProfile { hourly }
+        DiurnalProfile { hourly: hourly.into() }
     }
 
     /// A constant activity level at all hours.
@@ -110,6 +114,14 @@ mod tests {
         assert!((0.22..=0.32).contains(&mean), "weekly mean {mean}");
         assert_eq!(p.peak(), 0.58);
         assert_eq!(p.trough(), 0.12);
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let p = DiurnalProfile::paper_department();
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.hourly, &q.hourly));
+        assert_eq!(p, q);
     }
 
     #[test]

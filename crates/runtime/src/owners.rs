@@ -2,19 +2,20 @@
 //! worker threads.
 //!
 //! The cluster simulator and the live runtime share one model of owner
-//! behaviour. [`OwnerSimulator`] samples each station's
-//! [`OwnerProcess`](condor_model::owner::OwnerProcess) dwell times, scales
-//! them down to wall-clock milliseconds, and toggles the workers'
-//! owner-activity flags accordingly — so a live run sees the same
-//! statistical interference pattern as a simulated month, just compressed.
+//! behaviour. [`OwnerSimulator`] samples each station's [`OwnerProcess`]
+//! dwell times, scales them down to wall-clock milliseconds, and toggles
+//! the workers' owner-activity flags accordingly — so a live run sees the
+//! same statistical interference pattern as a simulated month, just
+//! compressed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use condor_model::owner::{build_fleet, OwnerConfig, OwnerState};
+use condor_model::owner::{build_fleet, OwnerConfig, OwnerProcess, OwnerState};
 use condor_sim::rng::SimRng;
+use condor_sim::time::SimTime;
 
 /// Drives the owner flags of a set of live workers.
 #[derive(Debug)]
@@ -24,7 +25,9 @@ pub struct OwnerSimulator {
 }
 
 impl OwnerSimulator {
-    /// Starts the simulator over the given worker flags.
+    /// Starts the simulator over the given worker flags. Every flag holds
+    /// its station's initial owner state by the time this returns; the
+    /// flips that follow run on a background thread.
     ///
     /// `sim_minute` is how much wall time one simulated minute takes —
     /// e.g. `Duration::from_millis(10)` compresses the paper's 2-minute
@@ -41,11 +44,12 @@ impl OwnerSimulator {
     ) -> OwnerSimulator {
         assert!(!flags.is_empty(), "no workers to drive");
         assert!(!sim_minute.is_zero(), "zero time scale");
+        let owners = Owners::new(&flags, &config, sim_minute, seed);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("condor-owners".into())
-            .spawn(move || owner_loop(&flags, &config, sim_minute, seed, &stop_flag))
+            .spawn(move || owners.run(&flags, &stop_flag))
             .expect("spawn owner simulator");
         OwnerSimulator {
             stop,
@@ -74,53 +78,70 @@ impl Drop for OwnerSimulator {
     }
 }
 
-fn owner_loop(
-    flags: &[Arc<AtomicBool>],
-    config: &OwnerConfig,
-    sim_minute: Duration,
-    seed: u64,
-    stop: &AtomicBool,
-) -> u64 {
-    let n = flags.len();
-    let mut processes = build_fleet(n, config, 0.3, seed);
-    let root = SimRng::seed_from(seed);
-    let mut rngs: Vec<SimRng> = (0..n)
-        .map(|i| root.substream(seed, &format!("live-owner-{i}")))
-        .collect();
-    let scale = sim_minute.as_secs_f64() / 60.0; // wall seconds per sim second
-    let start = Instant::now();
-    // Simulated clock runs via the scale factor from real elapsed time.
-    let mut sim_now = condor_sim::time::SimTime::ZERO;
-    let mut deadlines: Vec<(Instant, OwnerState)> = Vec::with_capacity(n);
-    let mut transitions = 0u64;
-    for i in 0..n {
-        let state = processes[i].state();
-        flags[i].store(state == OwnerState::Active, Ordering::SeqCst);
-        let dwell = processes[i].dwell_and_flip(sim_now, &mut rngs[i]);
-        let real = Duration::from_secs_f64(dwell.as_secs_f64() * scale);
-        deadlines.push((start + real, processes[i].state()));
-    }
-    while !stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        sim_now = condor_sim::time::SimTime::from_millis(
-            ((now - start).as_secs_f64() / scale * 1_000.0) as u64,
-        );
+/// The owner processes and their wall-clock flip deadlines.
+struct Owners {
+    processes: Vec<OwnerProcess>,
+    rngs: Vec<SimRng>,
+    /// Wall seconds per simulated second.
+    scale: f64,
+    start: Instant,
+    /// When each station flips next, and the state it enters.
+    deadlines: Vec<(Instant, OwnerState)>,
+}
+
+impl Owners {
+    /// Builds the fleet and stores every station's initial state in its
+    /// flag.
+    fn new(flags: &[Arc<AtomicBool>], config: &OwnerConfig, sim_minute: Duration, seed: u64) -> Self {
+        let n = flags.len();
+        let mut processes = build_fleet(n, config, 0.3, seed);
+        let root = SimRng::seed_from(seed);
+        let mut rngs: Vec<SimRng> = (0..n)
+            .map(|i| root.substream(seed, &format!("live-owner-{i}")))
+            .collect();
+        let scale = sim_minute.as_secs_f64() / 60.0;
+        let start = Instant::now();
+        let mut deadlines = Vec::with_capacity(n);
         for i in 0..n {
-            if now >= deadlines[i].0 {
-                let entering = deadlines[i].1;
-                flags[i].store(entering == OwnerState::Active, Ordering::SeqCst);
-                transitions += 1;
-                let dwell = processes[i].dwell_and_flip(sim_now, &mut rngs[i]);
-                let real = Duration::from_secs_f64(dwell.as_secs_f64() * scale);
-                deadlines[i] = (now + real.max(Duration::from_micros(200)), processes[i].state());
-            }
+            let state = processes[i].state();
+            flags[i].store(state == OwnerState::Active, Ordering::SeqCst);
+            let dwell = processes[i].dwell_and_flip(SimTime::ZERO, &mut rngs[i]);
+            let real = Duration::from_secs_f64(dwell.as_secs_f64() * scale);
+            deadlines.push((start + real, processes[i].state()));
         }
-        std::thread::sleep(Duration::from_micros(500));
+        Owners { processes, rngs, scale, start, deadlines }
     }
-    for f in flags {
-        f.store(false, Ordering::SeqCst);
+
+    /// Flips flags at their deadlines until `stop` is set, then clears
+    /// every flag; returns the number of transitions performed.
+    fn run(mut self, flags: &[Arc<AtomicBool>], stop: &AtomicBool) -> u64 {
+        let mut transitions = 0u64;
+        while !stop.load(Ordering::SeqCst) {
+            let now = Instant::now();
+            // The simulated clock runs via the scale factor from real
+            // elapsed time.
+            let sim_now = SimTime::from_millis(
+                ((now - self.start).as_secs_f64() / self.scale * 1_000.0) as u64,
+            );
+            for (i, flag) in flags.iter().enumerate() {
+                if now >= self.deadlines[i].0 {
+                    let entering = self.deadlines[i].1;
+                    flag.store(entering == OwnerState::Active, Ordering::SeqCst);
+                    transitions += 1;
+                    let process = &mut self.processes[i];
+                    let dwell = process.dwell_and_flip(sim_now, &mut self.rngs[i]);
+                    let real = Duration::from_secs_f64(dwell.as_secs_f64() * self.scale);
+                    self.deadlines[i] =
+                        (now + real.max(Duration::from_micros(200)), process.state());
+                }
+            }
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        for f in flags {
+            f.store(false, Ordering::SeqCst);
+        }
+        transitions
     }
-    transitions
 }
 
 #[cfg(test)]
